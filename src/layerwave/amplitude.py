@@ -15,6 +15,16 @@ through y^2, so evaluation needs no square roots and is exact on rational
 input.  Each term has total degree 2|k| - 1, counting y-degree doubly, and
 integer coefficients (kept exact here by Python integers; no overflow is
 possible).
+
+The box is a Cartesian product and every part of the summand is a product
+over coordinates, so the sum factors: a(x, k) = prod_n f_n(k_n, k_{n+1})
+with the one-dimensional sums
+
+    f_n(k_n, k_{n+1}) = sum over b = u_n .. min(k_n, k_{n+1}) of
+              C(k_n, b) * C(k_{n+1} - u_n, b - u_n) * (-1)^(k_{n+1} - b)
+              * x_n^(k_n + k_{n+1} - 2b) * (1 - x_n^2)^b.
+
+Evaluation uses the product; :func:`amplitude_terms` keeps the expansion.
 """
 
 from __future__ import annotations
@@ -63,56 +73,57 @@ def amplitude_terms(k: Sequence[int]) -> list[AmplitudeTerm]:
     return terms
 
 
-def amplitude_eval(x: Sequence[Scalar], k: Sequence[int]) -> Scalar:
-    """Evaluate a(x, k); exact when x is rational.
-
-    Powers of x_n and of (1 - x_n^2) are built once per call by repeated
-    multiplication, so the float result is reproducible and the cost is
-    O(|V(k)| * M) past the table setup.
-    """
-    if len(x) != len(k):
-        raise ValidationError(
-            f"x has {len(x)} entries but k has {len(k)}")
-    u, hi = branch_box(k)
-    kt = left_shift(k)
-    one = 1 if not isinstance(x[0], float) else 1.0
-
-    xmax = [kn + ktn for kn, ktn in zip(k, kt)]
-    xpow, qpow = [], []
-    for xn, xm, h in zip(x, xmax, hi):
-        row = [one]
-        for _ in range(xm):
-            row.append(row[-1] * xn)
-        xpow.append(row)
-        qn = one - xn * xn
-        qrow = [one]
-        for _ in range(h):
-            qrow.append(qrow[-1] * qn)
-        qpow.append(qrow)
-
-    total = 0 if one == 1 else 0.0
-    for b in itertools.product(*(range(lo, h + 1) for lo, h in zip(u, hi))):
-        coeff = 1
-        for kn, bn in zip(k, b):
-            coeff *= math.comb(kn, bn)
-        parity = 0
-        for ktn, un, bn in zip(kt, u, b):
-            coeff *= math.comb(ktn - un, bn - un)
-            parity += ktn - bn
-        if parity & 1:
+def _factor(xn: Scalar, kn: int, kn1: int, one: Scalar) -> Scalar:
+    """f_n(k_n, k_{n+1}): the coordinate-n sum over the branch count b."""
+    u = min(1, kn1)
+    qn = one - xn * xn
+    xpow = [one]
+    for _ in range(kn + kn1):
+        xpow.append(xpow[-1] * xn)
+    qb = qn if u else one
+    total = 0 * one
+    for b in range(u, min(kn, kn1) + 1):
+        coeff = math.comb(kn, b) * math.comb(kn1 - u, b - u)
+        if (kn1 - b) & 1:
             coeff = -coeff
-        xf = one
-        qf = one
-        for n, bn in enumerate(b):
-            xf = xf * xpow[n][(kt[n] - bn) + (k[n] - bn)]
-            qf = qf * qpow[n][bn]
-        total = total + coeff * xf * qf
+        total = total + coeff * xpow[kn + kn1 - 2 * b] * qb
+        qb = qb * qn
     return total
 
 
 def eval_batch(x: Sequence[Scalar], ks: Sequence[TransitCount]) -> list[Scalar]:
-    """Pure-Python batch evaluation (the fallback behind the compiled kernel)."""
-    return [amplitude_eval(x, k) for k in ks]
+    """Evaluate a(x, k) for every vector of ``ks``; exact when x is rational.
+
+    The vectors must be admissible and as wide as ``x`` (the callers'
+    lattice sets are).  Each factor f_n(k_n, k_{n+1}) is tabulated once per
+    pair that occurs, and an amplitude is the left-to-right product of its
+    factors up to the first zero entry, past which every factor is 1.
+    """
+    one = 1.0 if isinstance(x[0], float) else 1
+    tables: list[dict[tuple[int, int], Scalar]] = [{} for _ in x]
+    out = []
+    for k in ks:
+        value = one
+        for n, pair in enumerate(zip(k, k[1:] + (0,))):
+            if not pair[0]:
+                break
+            table = tables[n]
+            f = table.get(pair)
+            if f is None:
+                f = table[pair] = _factor(x[n], pair[0], pair[1], one)
+            value = value * f
+        out.append(value)
+    return out
+
+
+def amplitude_eval(x: Sequence[Scalar], k: Sequence[int]) -> Scalar:
+    """Evaluate a(x, k) for one admissible vector; exact when x is rational."""
+    if len(x) != len(k):
+        raise ValidationError(
+            f"x has {len(x)} entries but k has {len(k)}")
+    if not is_transit_count(k):
+        raise ValidationError(f"{k} is not a transit count vector")
+    return eval_batch(x, [tuple(k)])[0]
 
 
 def redundancy_ratio_check(k: Sequence[int], n: int) -> TransitCount | None:

@@ -20,7 +20,9 @@ computations stay closed under the arithmetic used.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -65,16 +67,44 @@ def coerce_vector(values: Iterable, rational: bool | None = None,
             raise ValidationError(
                 f"{name}: float entries in rational mode; convert explicitly")
         return tuple(Fraction(v) for v in vals), True
-    return tuple(float(v) for v in vals), False
+    floats = tuple(float(v) for v in vals)
+    for i, v in enumerate(floats):
+        if not math.isfinite(v):
+            raise ValidationError(f"{name}[{i}] = {v} is not finite")
+    return floats, False
 
 
 def same_mode(*flags: bool) -> bool:
     return all(f == flags[0] for f in flags)
 
 
+# int <-> str refuses more than sys.get_int_max_str_digits() digits (4300 by
+# default), and exact Stage II reflectivities of distorted data have longer
+# numerators.  Such integers go through Decimal, which has no limit; the
+# setting itself is process-wide, so it is left alone.
+_INTEGER_LITERAL = re.compile(r"-?[0-9]+")
+
+
+def _integer_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _integer_value(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        # Decimal would also take "1.5" or "1e5", so check the digits first
+        if not _INTEGER_LITERAL.fullmatch(text):
+            raise
+        return int(Decimal(text))
+
+
 def scalar_to_json(x: Scalar):
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{_integer_text(x.numerator)}/{_integer_text(x.denominator)}"
     return x
 
 
@@ -82,11 +112,17 @@ def scalar_from_json(v) -> Scalar:
     if isinstance(v, str):
         try:
             num, _, den = v.partition("/")
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+            if not den:
+                return Fraction(_integer_value(num))
+            return Fraction(_integer_value(num), _integer_value(den))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational literal {v!r}") from exc
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"bad numeric literal {v!r}")
+    if not math.isfinite(v):
+        # JSON's NaN/Infinity; caught here too because --rational converts
+        # literals to Fractions before the vectors are validated
+        raise ValidationError(f"non-finite numeric literal {v!r}")
     return float(v)
 
 

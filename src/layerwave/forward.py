@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import kernels
 from .amplitude import amplitude_eval, eval_batch
 from .core import (Data, Model, Scalar, cluster_sorted, default_amp_zero_tol,
                    default_time_tol, total_travel_time, validate_model)
@@ -32,12 +31,6 @@ def dot(tau: Sequence[Scalar], k: Sequence[int]) -> Scalar:
     for kn, tn in zip(k[1:], tau[1:]):
         total = total + kn * tn
     return total
-
-
-def _amplitudes(model: Model, ks: Sequence[TransitCount]) -> list[Scalar]:
-    if not model.rational and kernels.use_compiled():
-        return kernels.eval_amplitudes(list(model.refl), list(ks))
-    return eval_batch(model.refl, ks)
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ def forward(model: Model, t_max: Scalar | None = None,
         t_max = total_travel_time(model)
     ls = enumerate_lattice_set(model.tau, t_max, max_terms=max_terms,
                                rational=model.rational)
-    amps = _amplitudes(model, ls.ks)
+    amps = eval_batch(model.refl, ls.ks)
 
     if time_tol is None:
         time_tol = default_time_tol(ls.times, model.rational)
@@ -206,7 +199,7 @@ def is_generic(model: Model, t_max: Scalar | None = None,
             for j in range(i + 1, hi):
                 colliding.append((ls.ks[order[i]], ls.ks[order[j]]))
 
-    amps = _amplitudes(model, ls.ks)
+    amps = eval_batch(model.refl, ls.ks)
     if amp_zero_tol is None:
         amp_zero_tol = default_amp_zero_tol(amps, model.rational)
     zero: list[TransitCount] = []

@@ -150,7 +150,8 @@ def invert(data: Data, opts: InverseOptions | None = None) -> InverseReport:
             for j in hits:
                 if by_time.get(j) is not None:
                     matched[j] = by_time[j]
-            pending = [j for j in pending if j not in set(hits)]
+            explained = set(hits)
+            pending = [j for j in pending if j not in explained]
         elif n > 1:
             # a layer opened from an arrival must at least explain it
             raise AlgorithmError(
@@ -169,7 +170,8 @@ def invert(data: Data, opts: InverseOptions | None = None) -> InverseReport:
     layers = len(tau) - 1
 
     # Stage II: amplitude inversion along the primaries
-    kept = [j for j in range(d) if j not in set(rejected)]
+    dropped = set(rejected)
+    kept = [j for j in range(d) if j not in dropped]
     kept_times = [sigma[j] for j in kept]
     primary_indices: list[int] = []
     prefix = tau[0]
@@ -256,10 +258,15 @@ def redundancy_pairs(ls: LatticeSet, n: int
 
 
 def consensus(values: Sequence[Scalar], cluster_tol: Scalar) -> Scalar:
-    """Mean of the largest cluster of equal-within-tolerance values.
+    """Median of the largest cluster of equal-within-tolerance values.
 
     Clusters are single-linkage runs on the sorted list.  Size ties break
-    toward the smaller within-cluster variance, then the smaller mean.
+    toward the smaller within-cluster variance, then the smaller mean.  The
+    winner's median (its lower middle element) is returned, not its mean:
+    single linkage can chain a few votes that are off by up to a tolerance
+    or two into a cluster of equal ones, and those must not move the
+    result.  A cluster at tolerance zero holds equal values, so exact votes
+    give the exact value either way.
     """
     if not values:
         raise ValidationError("consensus of an empty list")
@@ -277,7 +284,7 @@ def consensus(values: Sequence[Scalar], cluster_tol: Scalar) -> Scalar:
         return -len(cluster), var, mean
 
     best = min(clusters, key=stats)
-    return _sum(best) / len(best)
+    return best[(len(best) - 1) // 2]
 
 
 def correct_reflectivity(report: InverseReport, data: Data,

@@ -1,43 +1,8 @@
-"""Selection of the float-mode compute kernels.
+"""Compiled-kernel status.
 
-The hot loops of the forward map -- the lattice search and the batch
-evaluation of amplitude polynomials -- have a compiled implementation
-(``layerwave._speedups``, built from Cython at install time) and a pure
-Python one.  The compiled module is purely an accelerator for float mode:
-rational-mode computations always run the exact Python code, and a missing
-or disabled extension changes nothing but speed.
-
-Set the environment variable ``LAYERWAVE_PURE`` to any nonempty value to
-force the Python implementations (used by the benchmark and the
-cross-implementation tests).
+Every computation runs in pure Python; there is no compiled extension.
 """
-
-from __future__ import annotations
-
-import os
-
-try:
-    from . import _speedups
-except ImportError:  # built without a compiler; pure Python throughout
-    _speedups = None
-
-ENV_FORCE_PURE = "LAYERWAVE_PURE"
 
 
 def compiled_available() -> bool:
-    return _speedups is not None
-
-
-def use_compiled() -> bool:
-    return _speedups is not None and not os.environ.get(ENV_FORCE_PURE)
-
-
-def enumerate_lattice(tau: list[float], bound: float, min_count: int,
-                      max_terms: int):
-    """Compiled float lattice search; see ``lattice._py_enumerate``."""
-    return _speedups.enumerate_lattice(tau, bound, min_count, max_terms)
-
-
-def eval_amplitudes(refl: list[float], ks: list[tuple[int, ...]]) -> list[float]:
-    """Compiled batch amplitude evaluation at a float reflectivity vector."""
-    return _speedups.eval_amplitudes(refl, ks)
+    return False

@@ -9,9 +9,7 @@ arrival time of every path sharing ``k`` is the inner product <k, tau>.
 Enumeration is a depth-first search over coordinates: travel times are
 positive, so the partial inner product is monotone in each coordinate and
 every branch can be pruned exactly.  Vectors are produced in lexicographic
-order.  The float-mode search is optionally served by a compiled kernel
-(see :mod:`layerwave.kernels`); both implementations perform the identical
-sequence of arithmetic operations, so their outputs match bit for bit.
+order.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
-from . import kernels
 from .core import Scalar, coerce_vector
 from .errors import GuardExceededError, ValidationError
 
@@ -99,24 +96,17 @@ class LatticeSet:
     def __iter__(self):
         return iter(self.ks)
 
-    def index_of(self, k: TransitCount) -> int:
-        try:
-            return self.ks.index(k)
-        except ValueError:
-            raise KeyError(k) from None
 
-
-def _py_enumerate(tau: Sequence[Scalar], bound: Scalar, min_count: int,
-                  max_terms: int) -> tuple[list[TransitCount], list[Scalar]]:
-    """Reference search; identical operation order to the compiled kernel."""
+def _enumerate(tau: tuple[Scalar, ...], bound: Scalar, min_count: int,
+               max_terms: int) -> LatticeSet:
+    """Depth-first search from k_0 = 1, entries past it from ``min_count``."""
+    if any(not t > 0 for t in tau):
+        raise ValidationError("travel times must be positive")
     width = len(tau)
     ks: list[TransitCount] = []
     times: list[Scalar] = []
     k = [0] * width
     k[0] = 1
-    t0 = 1 * tau[0]
-    if t0 > bound:
-        return ks, times
 
     def emit(vec: TransitCount, t: Scalar):
         if len(ks) >= max_terms:
@@ -142,19 +132,9 @@ def _py_enumerate(tau: Sequence[Scalar], bound: Scalar, min_count: int,
             c += 1
         k[n] = 0
 
-    descend(1, t0)
-    return ks, times
-
-
-def _enumerate(tau: tuple[Scalar, ...], bound: Scalar, min_count: int,
-               max_terms: int, rational: bool) -> LatticeSet:
-    if any(not t > 0 for t in tau):
-        raise ValidationError("travel times must be positive")
-    if not rational and kernels.use_compiled():
-        ks, times = kernels.enumerate_lattice(
-            list(tau), float(bound), min_count, max_terms)
-    else:
-        ks, times = _py_enumerate(tau, bound, min_count, max_terms)
+    t0 = 1 * tau[0]
+    if t0 <= bound:
+        descend(1, t0)
     return LatticeSet(tuple(ks), tuple(times), tau, bound)
 
 
@@ -177,7 +157,7 @@ def enumerate_lattice_set(tau: Iterable, bound: Scalar | None = None,
         raise ValidationError("bound must be rational in rational mode")
     elif not rat:
         bound = float(bound)
-    return _enumerate(tau_t, bound, 0, max_terms_guard(max_terms), rat)
+    return _enumerate(tau_t, bound, 0, max_terms_guard(max_terms))
 
 
 def enumerate_restricted(tau_prefix: Iterable, n: int, s: Scalar,
@@ -197,7 +177,7 @@ def enumerate_restricted(tau_prefix: Iterable, n: int, s: Scalar,
         raise ValidationError("bound must be rational in rational mode")
     if not rat:
         s = float(s)
-    return _enumerate(tau_t, s, 1, max_terms_guard(max_terms), rat)
+    return _enumerate(tau_t, s, 1, max_terms_guard(max_terms))
 
 
 def project_onto_tau(ls: LatticeSet, tau: Iterable | None = None

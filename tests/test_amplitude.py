@@ -8,9 +8,9 @@ import pytest
 
 from layerwave import (ValidationError, amplitude_eval, amplitude_terms,
                        enumerate_lattice_set, redundancy_ratio_check)
-from layerwave.amplitude import write_terms_csv
+from layerwave.amplitude import eval_batch, write_terms_csv
 
-from conftest import random_fractions
+from conftest import float_twin, random_fractions, rational_model
 
 R2 = 2 ** 0.5 / 2
 
@@ -81,6 +81,40 @@ class TestEval:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             amplitude_eval((0.5,), (1, 1))
+
+
+def term_sum(x, k):
+    """a(x, k) summed term by term from the symbolic expansion."""
+    total = Fraction(0)
+    for term in amplitude_terms(k):
+        value = Fraction(term.coeff)
+        for xn, e, q in zip(x, term.x_exponents, term.q_exponents):
+            value *= xn ** e * (1 - xn * xn) ** q
+        total += value
+    return total
+
+
+class TestProductForm:
+    def test_equals_term_expansion(self):
+        rng = random.Random(15)
+        for layers in range(4):
+            for k in all_vectors(layers, 8):
+                for trial in range(3):
+                    x = random_fractions(len(k), rng.randrange(10 ** 9))
+                    assert amplitude_eval(x, k) == term_sum(x, k)
+
+    def test_float_batch_near_exact(self):
+        m = rational_model(8, 16)
+        ls = enumerate_lattice_set(m.tau)
+        exact = eval_batch(m.refl, ls.ks)
+        approx = eval_batch(float_twin(m).refl, ls.ks)
+        assert len(exact) > 100
+        for a, e in zip(approx, exact):
+            assert abs(a - e) <= 1e-13 * abs(e)
+
+    def test_rejects_inadmissible_vector(self):
+        with pytest.raises(ValidationError):
+            amplitude_eval((0.5, 0.5, 0.5), (1, 0, 1))
 
 
 class TestPolynomialIdentities:

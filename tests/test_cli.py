@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from layerwave import model_from_dict
 from layerwave.cli import gen_random_generic, main
 
@@ -113,6 +115,33 @@ class TestPipeline:
         rows = list(csv.DictReader((tmp_path / "sets.csv").open()))
         assert rows and set(r["n"] for r in rows) <= {"1", "2", "3"}
 
+    def test_invert_and_correct_sine_distorted_rational(self, tmp_path):
+        # exact Stage II reflectivities of the distorted data have
+        # numerators past Python's 4300-digit int <-> str limit
+        model = {"tau": ["662/955", "969/899", "619/901", "235/187",
+                         "1551/941", "59/38", "651/580", "230/341",
+                         "1639/984", "321/733", "1384/853", "186/235"],
+                 "R": ["85/296", "-319/419", "-167/992", "-553/765",
+                       "229/382", "61/209", "233/856", "157/960",
+                       "-101/405", "7/9", "122/837", "-169/713"]}
+        write_json(tmp_path / "m.json", model)
+        steps = [
+            ("forward", "m.json", "--out", "d.json"),
+            ("distort", "d.json", "--sine",
+             "1/1000000:2.114565225143546:9.545360856377922",
+             "--out", "x.json"),
+            ("invert", "x.json", "--out", "r.json"),
+            ("correct", "x.json", "r.json", "--out", "c.json"),
+        ]
+        for cmd, *argv in steps:
+            paths = [tmp_path / a if a.endswith(".json") else a
+                     for a in argv]
+            assert run(tmp_path, cmd, *paths, "--rational") == 0
+        recovered = json.loads((tmp_path / "r.json").read_text())
+        assert max(len(r) for r in recovered["R"]) > 4300
+        corrected = json.loads((tmp_path / "c.json").read_text())
+        assert corrected["R"] == model["R"]
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -144,6 +173,14 @@ class TestExitCodes:
         p = tmp_path / "d.json"
         write_json(p, {"sigma": [1.0, 2.0], "alpha": [1.5, 0.3]})
         assert run(tmp_path, "invert", p) == 4
+
+    @pytest.mark.parametrize("mode", [[], ["--rational"]])
+    def test_nan_in_data_is_validation_error(self, tmp_path, capsys, mode):
+        p = tmp_path / "d.json"
+        p.write_text('{"sigma": [1.0, 2.0], "alpha": [NaN, 0.3]}')
+        assert run(tmp_path, "invert", p, *mode) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "ValidationError"
 
     def test_bad_json_is_io_error(self, tmp_path):
         p = tmp_path / "d.json"

@@ -46,6 +46,10 @@ class TestValidateModel:
         with pytest.raises(ValidationError):
             validate_model((1.0, 0.5), (0.5, 0.7), rational=True)
 
+    def test_infinite_tau_rejected(self):
+        with pytest.raises(ValidationError, match=r"tau\[1\] = inf"):
+            validate_model((1.0, float("inf")), (0.5, 0.7))
+
     def test_ints_coerce_by_mode(self):
         assert validate_model((1, 2), (0, 0)).tau == (1.0, 2.0)
         m = validate_model((1, 2), (0, 0), rational=True)
@@ -60,6 +64,10 @@ class TestData:
     def test_zero_amplitude_rejected(self):
         with pytest.raises(ValidationError):
             validate_data((1.0, 2.0), (0.5, 0.0))
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValidationError, match=r"alpha\[0\] = nan"):
+            validate_data((1.0, 2.0), (float("nan"), 0.5))
 
     def test_empty_needs_flag(self):
         with pytest.raises(ValidationError):
@@ -189,6 +197,21 @@ class TestJson:
         obj = model_to_dict(m)
         assert obj["tau"] == ["1/3", "2/7"]
         assert model_from_dict(obj) == m
+
+    def test_rational_past_int_str_digit_limit(self):
+        # int <-> str refuses more than 4300 digits by default
+        big = 7 ** 6000  # 5071 digits
+        m = validate_model((Fraction(1), Fraction(1, 2)),
+                           (Fraction(-big, big + 1), Fraction(1, 3)))
+        obj = model_to_dict(m)
+        assert len(obj["R"][0]) > 10_000
+        assert model_from_dict(obj) == m
+
+    def test_rational_literal_must_be_integers(self):
+        # Decimal alone would truncate the first three and overflow on the last
+        for text in ("1.5", "1e5", "1/2.0", "Infinity"):
+            with pytest.raises(ValidationError, match="bad rational literal"):
+                model_from_dict({"tau": [text], "R": ["0"]})
 
     def test_data_round_trip(self):
         d = validate_data((1.0, 2.0), (0.5, -0.25))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from layerwave import (AlgorithmError, GuardExceededError, InverseOptions,
                        ValidationError, add_spurious, consensus,
                        correct_reflectivity, enumerate_lattice_set, forward,
-                       invert, redundancy_pairs, sine_distort, validate_data)
+                       invert, redundancy_pairs, sine_distort, validate_data,
+                       validate_model)
 
 from conftest import float_twin, rational_model
 
@@ -169,6 +170,11 @@ class TestConsensus:
         with pytest.raises(ValidationError):
             consensus([], 0.0)
 
+    def test_chained_vote_does_not_move_result(self):
+        # 0.3 + 8e-7 joins the cluster of equal votes within tolerance; the
+        # cluster's mean would drift by 8e-8, its median stays exact
+        assert consensus([0.3] * 9 + [0.3 + 8e-7], 1e-6) == 0.3
+
 
 class TestRedundancyPairs:
     def test_pair_present(self):
@@ -209,6 +215,26 @@ class TestCorrection:
         corrected, sets = correct_reflectivity(report, data)
         assert corrected == report.model.refl
         assert sets.ratios == {}
+
+    def test_float_votes_from_merged_arrivals(self):
+        # float 14-layer model whose Stage III vote clusters chain in votes
+        # from arrivals that forward merged within time_tol (two amplitudes
+        # summed); the cluster mean put R[6], R[8] and R[11..14] off
+        tau = (1.1064046695840797, 1.2417156790609676, 1.8056845877443006,
+               1.9546014333827406, 0.9544624005264549, 1.1961680342864494,
+               1.9503271407139746, 1.8015417057995773, 1.0855380616096626,
+               1.1666090724420257, 0.9421097425873978, 0.8683347730037608,
+               1.6421188998123843, 1.3744944684319926, 1.1607001070807683)
+        refl = (-0.4376787149136976, -0.13953169087103634,
+                -0.28498653485455727, -0.12411885700827753,
+                -0.18874439643682484, 0.09883768372457367,
+                0.6756353249095169, 0.1263492567403497, 0.6215992487084248,
+                0.3617571893789929, 0.2666526649022403, 0.48360140870077634,
+                0.5581905647006262, -0.265369272009071, 0.3344552644041291)
+        data, _ = forward(validate_model(tau, refl))
+        corrected, _ = correct_reflectivity(invert(data), data)
+        for got, want in zip(corrected, refl):
+            assert abs(got - want) <= 1e-9
 
     def test_minority_distortion_outvoted(self):
         m = rational_model(6, 114)
