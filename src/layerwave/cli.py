@@ -22,9 +22,9 @@ import random
 import sys
 from fractions import Fraction
 
-from .core import (Data, Model, Scalar, data_from_dict, data_to_dict,
-                   model_from_dict, model_to_dict, scalar_to_json,
-                   total_travel_time)
+from .core import (Data, Model, Scalar, data_from_dict, data_to_dict, dot,
+                   model_from_dict, model_to_dict, normalize, scalar_text,
+                   scalar_to_json, total_travel_time)
 from .errors import (AlgorithmError, GuardExceededError, LayerwaveError,
                      ValidationError)
 from .forward import forward, is_generic
@@ -111,9 +111,15 @@ def _read_data(path: str, rational: bool) -> Data:
 
 
 def _parse_scalar(text: str, rational: bool) -> Scalar:
-    if "/" in text:
-        return Fraction(text)
-    return Fraction(text) if rational else float(text)
+    try:
+        if rational or "/" in text:
+            return Fraction(text)
+        value = float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad number {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"non-finite number {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +138,8 @@ def _cmd_forward(args) -> int:
                             + ["time", "amplitude", "psi"])
             for k, t, a in zip(em.lattice.ks, em.lattice.times,
                                em.amplitudes):
-                writer.writerow(list(k) + [str(t), str(a), em.psi[k]])
+                writer.writerow(list(k) + [scalar_text(t), scalar_text(a),
+                                           em.psi[k]])
     return 0
 
 
@@ -176,14 +183,13 @@ def _cmd_correct(args) -> int:
             writer.writerow(["n", "ratio"])
             for n in sorted(sets.ratios):
                 for value in sets.ratios[n]:
-                    writer.writerow([n, str(value)])
+                    writer.writerow([n, scalar_text(value)])
     return 0
 
 
 def _cmd_oracle(args) -> int:
     model = _read_model(args.model, args.rational)
     t_max = _parse_scalar(args.t_max, model.rational) if args.t_max else None
-    from .core import normalize
     terms, sums = oracle_terms(model, t_max=t_max,
                                max_sequences=args.max_terms)
     data = normalize(terms, rational=model.rational)
@@ -194,12 +200,9 @@ def _cmd_oracle(args) -> int:
             writer = csv.writer(fp)
             writer.writerow([f"k{i}" for i in range(width)]
                             + ["time", "weight_sum"])
-            items = sorted(sums.items())
-            for k, w in items:
-                t = k[0] * model.tau[0]
-                for kn, tn in zip(k[1:], model.tau[1:]):
-                    t = t + kn * tn
-                writer.writerow(list(k) + [str(t), str(w)])
+            for k, w in sorted(sums.items()):
+                writer.writerow(list(k) + [scalar_text(dot(model.tau, k)),
+                                           scalar_text(w)])
     return 0
 
 
@@ -224,10 +227,9 @@ def _cmd_distort(args) -> int:
         if len(parts) not in (3, 5):
             raise ValidationError("--sine must be A:t_lo:t_hi[:omega:phase]")
         amp = _parse_scalar(parts[0], data.rational)
-        window = (float(parts[1]), float(parts[2]))
-        omega = float(parts[3]) if len(parts) == 5 else 2.0 * math.pi
-        phase = float(parts[4]) if len(parts) == 5 else 0.0
-        sine = (amp, window, omega, phase)
+        lo, hi, *rest = (float(_parse_scalar(p, False)) for p in parts[1:])
+        omega, phase = rest or (2.0 * math.pi, 0.0)
+        sine = (amp, (lo, hi), omega, phase)
     shift = (_parse_scalar(args.shift, data.rational)
              if args.shift is not None else None)
     ps = PerturbSpec(decimate_threshold=threshold,

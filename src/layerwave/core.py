@@ -20,10 +20,14 @@ computations stay closed under the arithmetic used.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 from .errors import ValidationError
@@ -41,10 +45,6 @@ CLUSTER_SPAN_FACTOR = 10          # cluster span guard, multiples of time_tol
 
 # ---------------------------------------------------------------------------
 # scalar helpers
-
-def is_rational_scalar(x) -> bool:
-    return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
-
 
 def coerce_vector(values: Iterable, rational: bool | None = None,
                   name: str = "vector") -> tuple[tuple[Scalar, ...], bool]:
@@ -74,8 +74,47 @@ def coerce_vector(values: Iterable, rational: bool | None = None,
     return floats, False
 
 
-def same_mode(*flags: bool) -> bool:
-    return all(f == flags[0] for f in flags)
+# Every arrival time and amplitude sum in the package is accumulated left to
+# right from its first term, so a float result has the same bits wherever it
+# is computed.  These helpers are that order's one definition.  Builtin
+# sum() is not used for it: it starts from 0, and from Python 3.12 it adds
+# floats with compensation (sum([1e16, 1.0, -1e16]) is 1.0, not 0.0).
+
+def left_sum(values: Iterable[Scalar]) -> Scalar:
+    """((v0 + v1) + v2) + ...; ``values`` must not be empty."""
+    return reduce(operator.add, values)
+
+
+def prefix_sums(values: Iterable[Scalar]) -> list[Scalar]:
+    """[v0, v0 + v1, (v0 + v1) + v2, ...]: the running left sums."""
+    return list(accumulate(values))
+
+
+def dot(tau: Sequence[Scalar], k: Sequence[int]) -> Scalar:
+    """<k, tau> accumulated left to right (the package-wide arrival time)."""
+    return reduce(operator.add, map(operator.mul, k, tau))
+
+
+def find_time(sorted_times: Sequence[Scalar], value: Scalar,
+              tol: Scalar) -> int | None:
+    """Index of the entry within ``tol`` of ``value``, else None.
+
+    When both neighbours of ``value`` are within ``tol``, the lower one
+    wins.
+    """
+    i = bisect_left(sorted_times, value)
+    for j in (i - 1, i):
+        if 0 <= j < len(sorted_times) and \
+                abs(sorted_times[j] - value) <= tol:
+            return j
+    return None
+
+
+def check_tolerance(value: Scalar, name: str) -> None:
+    """Raise :class:`ValidationError` unless ``value`` is finite and >= 0."""
+    if not 0 <= value < math.inf:
+        raise ValidationError(
+            f"{name} = {scalar_text(value)} must be finite and nonnegative")
 
 
 # int <-> str refuses more than sys.get_int_max_str_digits() digits (4300 by
@@ -106,6 +145,15 @@ def scalar_to_json(x: Scalar):
     if isinstance(x, Fraction):
         return f"{_integer_text(x.numerator)}/{_integer_text(x.denominator)}"
     return x
+
+
+def scalar_text(x: Scalar) -> str:
+    """``str(x)`` (``"3"``, ``"1/3"``, ``"0.5"``) at any number of digits."""
+    if not isinstance(x, Fraction):
+        return str(x)
+    if x.denominator == 1:
+        return _integer_text(x.numerator)
+    return scalar_to_json(x)
 
 
 def scalar_from_json(v) -> Scalar:
@@ -259,10 +307,7 @@ def validate_data(sigma: Iterable, alpha: Iterable,
 
 def total_travel_time(model: Model) -> Scalar:
     """Sum of the travel-time vector, accumulated left to right."""
-    total = model.tau[0]
-    for t in model.tau[1:]:
-        total = total + t
-    return total
+    return left_sum(model.tau)
 
 
 def from_physical(profile: PhysicalProfile) -> Model:
@@ -333,9 +378,18 @@ def cluster_sorted(times: Sequence[Scalar], time_tol: Scalar,
     return ranges
 
 
+def cluster_sums(values: Sequence[Scalar], order: Sequence[int],
+                 ranges: Sequence[tuple[int, int]]) -> list[Scalar]:
+    """Per range (lo, hi), the left sum of ``values[i]`` for i in
+    ``order[lo:hi]``: the merged amplitude of each cluster."""
+    # most clusters have one member; a sum per cluster would double the time
+    return [values[order[lo]] if hi - lo == 1 else
+            left_sum([values[i] for i in order[lo:hi]])
+            for lo, hi in ranges]
+
+
 def normalize(terms: RawTermList, time_tol: Scalar | None = None,
               amp_zero_tol: Scalar | None = None,
-              cluster_span: Scalar | None = None,
               rational: bool | None = None) -> Data:
     """Put a raw term list in normal form.
 
@@ -343,7 +397,10 @@ def normalize(terms: RawTermList, time_tol: Scalar | None = None,
     smallest member time representing the cluster), clusters summing to
     zero are dropped, and the result is sorted strictly increasing.  The
     output is idempotent under re-normalization and independent of the
-    input order.  In rational mode both tolerances must be exact zero.
+    input order.  In rational mode both tolerances must be exact zero.  A
+    cluster spanning more than ``CLUSTER_SPAN_FACTOR`` time tolerances
+    raises :class:`ValidationError`: the tolerance is too coarse for the
+    data.
     """
     pairs = list(terms)
     if not pairs:
@@ -359,17 +416,13 @@ def normalize(terms: RawTermList, time_tol: Scalar | None = None,
         amp_zero_tol = default_amp_zero_tol(amps_t, rational)
     if rational and (time_tol != 0 or amp_zero_tol != 0):
         raise ValidationError("tolerances must be zero in rational mode")
-    if time_tol < 0:
-        raise ValidationError("time_tol must be nonnegative")
+    check_tolerance(time_tol, "time_tol")
 
     order = sorted(range(len(times_t)), key=lambda i: (times_t[i], amps_t[i]))
     stimes = [times_t[i] for i in order]
-    samps = [amps_t[i] for i in order]
+    ranges = cluster_sorted(stimes, time_tol)
     sigma, alpha = [], []
-    for lo, hi in cluster_sorted(stimes, time_tol, cluster_span):
-        total = samps[lo]
-        for a in samps[lo + 1:hi]:
-            total = total + a
+    for (lo, _), total in zip(ranges, cluster_sums(amps_t, order, ranges)):
         if abs(total) <= amp_zero_tol:
             continue
         sigma.append(stimes[lo])
@@ -385,15 +438,23 @@ def model_to_dict(model: Model) -> dict:
             "R": [scalar_to_json(r) for r in model.refl]}
 
 
+def _json_vector(obj: dict, key: str, rational: bool | None) -> list[Scalar]:
+    """The array ``obj[key]`` as scalars, converted to Fractions when
+    ``rational`` is set."""
+    values = obj[key]
+    if not isinstance(values, list):
+        raise ValidationError(f'"{key}" must be an array')
+    out = [scalar_from_json(v) for v in values]
+    if rational:
+        out = [v if isinstance(v, Fraction) else Fraction(v) for v in out]
+    return out
+
+
 def model_from_dict(obj: dict, rational: bool | None = None) -> Model:
     if not isinstance(obj, dict) or "tau" not in obj or "R" not in obj:
         raise ValidationError('model JSON must have "tau" and "R" arrays')
-    tau = [scalar_from_json(v) for v in obj["tau"]]
-    refl = [scalar_from_json(v) for v in obj["R"]]
-    if rational:
-        tau = [v if isinstance(v, Fraction) else Fraction(v) for v in tau]
-        refl = [v if isinstance(v, Fraction) else Fraction(v) for v in refl]
-    return validate_model(tau, refl)
+    return validate_model(_json_vector(obj, "tau", rational),
+                          _json_vector(obj, "R", rational))
 
 
 def data_to_dict(data: Data) -> dict:
@@ -404,9 +465,5 @@ def data_to_dict(data: Data) -> dict:
 def data_from_dict(obj: dict, rational: bool | None = None) -> Data:
     if not isinstance(obj, dict) or "sigma" not in obj or "alpha" not in obj:
         raise ValidationError('data JSON must have "sigma" and "alpha" arrays')
-    sigma = [scalar_from_json(v) for v in obj["sigma"]]
-    alpha = [scalar_from_json(v) for v in obj["alpha"]]
-    if rational:
-        sigma = [v if isinstance(v, Fraction) else Fraction(v) for v in sigma]
-        alpha = [v if isinstance(v, Fraction) else Fraction(v) for v in alpha]
-    return validate_data(sigma, alpha)
+    return validate_data(_json_vector(obj, "sigma", rational),
+                         _json_vector(obj, "alpha", rational))

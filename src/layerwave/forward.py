@@ -17,20 +17,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .amplitude import amplitude_eval, eval_batch
-from .core import (Data, Model, Scalar, cluster_sorted, default_amp_zero_tol,
-                   default_time_tol, total_travel_time, validate_model)
+from .core import (Data, Model, Scalar, cluster_sorted, cluster_sums,
+                   default_amp_zero_tol, default_time_tol, dot, left_sum,
+                   total_travel_time, validate_model)
 from .errors import AlgorithmError, ValidationError
 from .lattice import LatticeSet, TransitCount, enumerate_lattice_set
 
 GENERIC_MARGIN_FACTOR = 10  # margin must clear this many time tolerances
-
-
-def dot(tau: Sequence[Scalar], k: Sequence[int]) -> Scalar:
-    """<k, tau> accumulated left to right (the package-wide arrival time)."""
-    total = k[0] * tau[0]
-    for kn, tn in zip(k[1:], tau[1:]):
-        total = total + kn * tn
-    return total
 
 
 @dataclass(frozen=True)
@@ -87,10 +80,8 @@ def forward(model: Model, t_max: Scalar | None = None,
     sigma: list[Scalar] = []
     alpha: list[Scalar] = []
     psi: dict[TransitCount, int] = {}
-    for lo, hi in cluster_sorted(stimes, time_tol):
-        total = amps[order[lo]]
-        for i in order[lo + 1:hi]:
-            total = total + amps[i]
+    ranges = cluster_sorted(stimes, time_tol)
+    for (lo, hi), total in zip(ranges, cluster_sums(amps, order, ranges)):
         if abs(total) <= amp_zero_tol:
             index = 0
         else:
@@ -203,10 +194,7 @@ def is_generic(model: Model, t_max: Scalar | None = None,
     if amp_zero_tol is None:
         amp_zero_tol = default_amp_zero_tol(amps, model.rational)
     zero: list[TransitCount] = []
-    for lo, hi in groups:
-        total = amps[order[lo]]
-        for i in order[lo + 1:hi]:
-            total = total + amps[i]
+    for (lo, hi), total in zip(groups, cluster_sums(amps, order, groups)):
         cancelled = abs(total) <= amp_zero_tol
         for i in order[lo:hi]:
             if cancelled or abs(amps[i]) <= amp_zero_tol:
@@ -246,9 +234,7 @@ def ill_posed_pair(tau_value: Scalar, layers: int,
     aligned = [k for k in ones.ks if sum(k) == layers + 2 and k != full]
 
     pad = base.refl + (Fraction(0) if rational else 0.0,)
-    ssum = one - one  # zero of the right mode
-    for k in aligned:
-        ssum = ssum + amplitude_eval(pad, k)
+    ssum = left_sum(amplitude_eval(pad, k) for k in aligned)
     denom = one
     for r in base.refl:
         denom = denom * (one - r * r)

@@ -23,12 +23,12 @@ the per-index consensus reconstructs the reflectivities by division.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (Data, Model, Scalar, default_time_tol, validate_model)
+from .core import (Data, Model, Scalar, check_tolerance, default_time_tol,
+                   find_time, left_sum, prefix_sums, validate_model)
 from .errors import AlgorithmError, GuardExceededError, ValidationError
 from .lattice import (LatticeSet, TransitCount, enumerate_lattice_set,
                       enumerate_restricted)
@@ -42,13 +42,15 @@ class InverseOptions:
 
     ``time_tol`` is the absolute matching tolerance for explaining data
     times (default 1e-9 of the last arrival; must be 0 in rational mode).
-    ``robust`` enables spurious-arrival rejection.
+    ``robust`` enables spurious-arrival rejection; it rejects at most
+    d - 2 arrivals, since the first two are trusted, so the rejections need
+    no guard of their own.  ``max_layers`` bounds the recovered layer count
+    and ``max_terms`` each lattice enumeration.
     """
 
     time_tol: Scalar | None = None
     robust: bool = False
     max_layers: int = 64
-    max_rejections: int | None = None
     max_terms: int | None = None
 
 
@@ -68,28 +70,6 @@ class InverseReport:
     primary_indices: tuple[int, ...]
 
 
-class _TimeIndex:
-    """Tolerance matching of sorted candidate times against values."""
-
-    def __init__(self, times: Sequence[Scalar], tol: Scalar):
-        self.times = sorted(times)
-        self.tol = tol
-
-    def contains(self, value: Scalar) -> bool:
-        i = bisect_left(self.times, value)
-        for j in (i - 1, i):
-            if 0 <= j < len(self.times) and abs(self.times[j] - value) <= self.tol:
-                return True
-        return False
-
-
-def _sum(values: Sequence[Scalar]) -> Scalar:
-    total = values[0]
-    for v in values[1:]:
-        total = total + v
-    return total
-
-
 def invert(data: Data, opts: InverseOptions | None = None) -> InverseReport:
     """Recover the model from normal-form data of a generic model.
 
@@ -107,10 +87,10 @@ def invert(data: Data, opts: InverseOptions | None = None) -> InverseReport:
     rational = data.rational
     tol = opts.time_tol
     if tol is None:
-        tol = Fraction(0) if rational else default_time_tol(sigma, False)
+        tol = default_time_tol(sigma, rational)
+    check_tolerance(tol, "time_tol")
     if rational and tol != 0:
         raise ValidationError("time_tol must be zero in rational mode")
-    max_rej = opts.max_rejections if opts.max_rejections is not None else d
 
     # Stage I: arrival time inversion
     tau: list[Scalar] = [sigma[0], sigma[1] - sigma[0]]
@@ -121,18 +101,15 @@ def invert(data: Data, opts: InverseOptions | None = None) -> InverseReport:
     while pending:
         rs = enumerate_restricted(tuple(tau), n, sigma[-1],
                                   max_terms=opts.max_terms)
-        index = _TimeIndex(rs.times, tol)
-        hits = [j for j in pending if index.contains(sigma[j])]
+        rtimes = sorted(rs.times)
+        hits = [j for j in pending
+                if find_time(rtimes, sigma[j], tol) is not None]
 
         if opts.robust and len(pending) > 1 and hits == [pending[0]]:
             # the layer opened by the earliest pending arrival explains
             # nothing else: reject that arrival and reopen the layer
             rejected.append(pending.pop(0))
-            if len(rejected) > max_rej:
-                raise AlgorithmError(
-                    f"rejected more than {max_rej} arrivals; data is not "
-                    "a perturbed generic response")
-            tau[n] = sigma[pending[0]] - _sum(tau[:n])
+            tau[n] = sigma[pending[0]] - left_sum(tau[:n])
             if not tau[n] > 0:
                 raise AlgorithmError("nonpositive travel time after rejection")
             continue
@@ -141,12 +118,10 @@ def invert(data: Data, opts: InverseOptions | None = None) -> InverseReport:
             by_time: dict[int, TransitCount | None] = {}
             hit_times = [sigma[j] for j in hits]
             for k, t in zip(rs.ks, rs.times):
-                i = bisect_left(hit_times, t)
-                for jj in (i - 1, i):
-                    if 0 <= jj < len(hit_times) and \
-                            abs(hit_times[jj] - t) <= tol:
-                        j = hits[jj]
-                        by_time[j] = k if j not in by_time else None
+                jj = find_time(hit_times, t, tol)
+                if jj is not None:
+                    j = hits[jj]
+                    by_time[j] = k if j not in by_time else None
             for j in hits:
                 if by_time.get(j) is not None:
                     matched[j] = by_time[j]
@@ -159,7 +134,7 @@ def invert(data: Data, opts: InverseOptions | None = None) -> InverseReport:
                 "malformed or non-generic")
         if not pending:
             break
-        tau.append(sigma[pending[0]] - _sum(tau))
+        tau.append(sigma[pending[0]] - left_sum(tau))
         if not tau[-1] > 0:
             raise AlgorithmError("nonpositive travel time (non-generic data)")
         n += 1
@@ -174,22 +149,12 @@ def invert(data: Data, opts: InverseOptions | None = None) -> InverseReport:
     kept = [j for j in range(d) if j not in dropped]
     kept_times = [sigma[j] for j in kept]
     primary_indices: list[int] = []
-    prefix = tau[0]
-    partials = [prefix]
-    for t in tau[1:]:
-        prefix = prefix + t
-        partials.append(prefix)
-    for nn, target in enumerate(partials):
-        i = bisect_left(kept_times, target)
-        found = None
-        for j in (i - 1, i):
-            if 0 <= j < len(kept_times) and abs(kept_times[j] - target) <= tol:
-                found = kept[j]
-                break
-        if found is None:
+    for nn, target in enumerate(prefix_sums(tau)):
+        j = find_time(kept_times, target, tol)
+        if j is None:
             raise AlgorithmError(
                 f"primary arrival {nn} (t = {float(target)}) not in data")
-        primary_indices.append(found)
+        primary_indices.append(kept[j])
 
     refl: list[Scalar] = [alpha[primary_indices[0]]]
     if not (-1 < refl[0] < 1):
@@ -279,8 +244,8 @@ def consensus(values: Sequence[Scalar], cluster_tol: Scalar) -> Scalar:
             clusters.append([v])
 
     def stats(cluster: list[Scalar]):
-        mean = _sum(cluster) / len(cluster)
-        var = _sum([(v - mean) * (v - mean) for v in cluster]) / len(cluster)
+        mean = left_sum(cluster) / len(cluster)
+        var = left_sum((v - mean) * (v - mean) for v in cluster) / len(cluster)
         return -len(cluster), var, mean
 
     best = min(clusters, key=stats)
@@ -306,21 +271,14 @@ def correct_reflectivity(report: InverseReport, data: Data,
     if cluster_tol is None:
         cluster_tol = Fraction(0) if rational else 1e-6
     if time_tol is None:
-        time_tol = Fraction(0) if rational else default_time_tol(
-            data.sigma, False)
+        time_tol = default_time_tol(data.sigma, rational)
+    check_tolerance(cluster_tol, "cluster_tol")
+    check_tolerance(time_tol, "time_tol")
     if layers < 4:
         return model.refl, CorrectionSets()
 
     sigma = list(data.sigma)
     alpha = list(data.alpha)
-
-    def data_index(target: Scalar) -> int | None:
-        i = bisect_left(sigma, target)
-        for j in (i - 1, i):
-            if 0 <= j < len(sigma) and abs(sigma[j] - target) <= time_tol:
-                return j
-        return None
-
     ls = enumerate_lattice_set(model.tau, sigma[-1], max_terms=max_terms,
                                rational=rational)
     times = {k: t for k, t in zip(ls.ks, ls.times)}
@@ -330,8 +288,8 @@ def correct_reflectivity(report: InverseReport, data: Data,
         pairs = redundancy_pairs(ls, n)
         ratios: list[Scalar] = []
         for k, partner in pairs:
-            j = data_index(times[k])
-            jp = data_index(times[partner])
+            j = find_time(sigma, times[k], time_tol)
+            jp = find_time(sigma, times[partner], time_tol)
             if j is None or jp is None:
                 continue
             ratios.append(-alpha[jp] / (2 * alpha[j]))
@@ -360,13 +318,9 @@ def correct_reflectivity(report: InverseReport, data: Data,
                 "outside (-1, 1)")
         corrected.append(value)
 
-    prefix = model.tau[0]
-    partials = [prefix]
-    for t in model.tau[1:]:
-        prefix = prefix + t
-        partials.append(prefix)
+    partials = prefix_sums(model.tau)
     for n in range(layers - 3, layers + 1):
-        j = data_index(partials[n])
+        j = find_time(sigma, partials[n], time_tol)
         if j is None:
             raise AlgorithmError(
                 f"primary arrival {n} missing from data; cannot correct")

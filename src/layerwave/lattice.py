@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
-from .core import Scalar, coerce_vector
+from .core import Scalar, coerce_vector, dot, left_sum, scalar_text
 from .errors import GuardExceededError, ValidationError
 
 TransitCount = tuple[int, ...]
@@ -150,9 +150,7 @@ def enumerate_lattice_set(tau: Iterable, bound: Scalar | None = None,
     """
     tau_t, rat = coerce_vector(tau, rational, "tau")
     if bound is None:
-        bound = tau_t[0]
-        for t in tau_t[1:]:
-            bound = bound + t
+        bound = left_sum(tau_t)
     elif rat and not isinstance(bound, (Fraction, int)):
         raise ValidationError("bound must be rational in rational mode")
     elif not rat:
@@ -191,14 +189,8 @@ def project_onto_tau(ls: LatticeSet, tau: Iterable | None = None
     tau_v = tuple(float(t) for t in (ls.tau if tau is None else tuple(tau)))
     if len(tau_v) != len(ls.tau):
         raise ValidationError("tau dimension mismatch")
-    norm = math.sqrt(sum(t * t for t in tau_v))
-    out = []
-    for k in ls.ks:
-        dot = 0.0
-        for kn, tn in zip(k, tau_v):
-            dot += kn * tn
-        out.append((k, dot / norm))
-    return out
+    norm = math.sqrt(left_sum(t * t for t in tau_v))
+    return [(k, dot(tau_v, k) / norm) for k in ls.ks]
 
 
 def write_lattice_csv(ls: LatticeSet, fp: TextIO) -> None:
@@ -206,4 +198,4 @@ def write_lattice_csv(ls: LatticeSet, fp: TextIO) -> None:
     writer = csv.writer(fp)
     writer.writerow([f"k{i}" for i in range(len(ls.tau))] + ["time"])
     for k, t in zip(ls.ks, ls.times):
-        writer.writerow(list(k) + [str(t)])
+        writer.writerow(list(k) + [scalar_text(t)])

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Data, Model, Scalar, normalize, total_travel_time
+from .core import Data, Model, Scalar, dot, normalize, total_travel_time
 from .errors import GuardExceededError, ValidationError
 from .lattice import TransitCount, max_terms_guard
 
@@ -191,10 +191,7 @@ def oracle_terms(model: Model, t_max: Scalar | None = None,
         st = stats(p, model.layers)
         k = st.kappa
         if k not in times:
-            t = k[0] * model.tau[0]
-            for kn, tn in zip(k[1:], model.tau[1:]):
-                t = t + kn * tn
-            times[k] = t
+            times[k] = dot(model.tau, k)
         w = weight_eval(st, model.refl)
         terms.append((times[k], w))
         sums[k] = sums[k] + w if k in sums else w

@@ -78,8 +78,7 @@ def add_spurious(data: Data, points: list[tuple[Scalar, Scalar]],
         return data
     rational = data.rational
     if guard_tol is None:
-        guard_tol = Fraction(0) if rational else default_time_tol(
-            data.sigma, False)
+        guard_tol = default_time_tol(data.sigma, rational)
     existing = list(data.sigma)
     for t, a in points:
         if a == 0:
@@ -94,13 +93,13 @@ def add_spurious(data: Data, points: list[tuple[Scalar, Scalar]],
 
 
 def random_spurious(data: Data, count: int, seed: int,
-                    guard_tol: Scalar | None = None,
-                    amp_scale: float = 1.0) -> list[tuple[Scalar, Scalar]]:
+                    guard_tol: Scalar | None = None
+                    ) -> list[tuple[Scalar, Scalar]]:
     """Seeded spurious arrivals, uniform over the interior of the data span.
 
     Times are rejected when within ``guard_tol`` of a true arrival or of
-    each other; amplitudes are uniform in +-(amp_scale * max |alpha|),
-    bounded away from zero.  Every draw stays strictly inside
+    each other; magnitudes are uniform in [0.05, 1] * max |alpha|, with
+    random signs.  Every draw stays strictly inside
     (sigma_1, sigma_d), so the response keeps its true first and last
     arrivals.
     """
@@ -112,7 +111,7 @@ def random_spurious(data: Data, count: int, seed: int,
     if guard_tol is None:
         guard_tol = 1e-6 * (hi - lo)
     rng = random.Random(seed)
-    amax = max(abs(float(a)) for a in data.alpha) * amp_scale
+    amax = max(abs(float(a)) for a in data.alpha)
     taken = [float(s) for s in data.sigma]
     points: list[tuple[Scalar, Scalar]] = []
     attempts = 0

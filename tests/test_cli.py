@@ -2,6 +2,8 @@
 
 import csv
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -142,6 +144,36 @@ class TestPipeline:
         corrected = json.loads((tmp_path / "c.json").read_text())
         assert corrected["R"] == model["R"]
 
+    def test_csv_cells_past_int_str_digit_limit(self, tmp_path):
+        # str() of these Fractions raises past the 4300-digit int -> str
+        # limit; the cells must read as str() would without the limit
+        big = 3 ** 9500
+        tiny = f"1/{Decimal(big)}"
+        model_p = tmp_path / "m.json"
+        write_json(model_p, {"tau": [tiny, "1"], "R": ["1/2", "7/10"]})
+        for cmd, option in (("lattice", "--out"), ("forward", "--emit-psi"),
+                            ("oracle", "--per-k")):
+            out = tmp_path / f"{cmd}.csv"
+            extra = [] if cmd == "lattice" else ["--out", tmp_path / "x.json"]
+            assert run(tmp_path, cmd, model_p, "--rational", option, out,
+                       *extra) == 0
+            times = [row["time"] for row in csv.DictReader(out.open())]
+            assert times == [tiny, f"{Decimal(big + 1)}/{Decimal(big)}"]
+
+        refl = ["301/851", f"{Decimal(758 * big + 977)}/{Decimal(977 * big)}",
+                "-176/361", "3/7", "-37/239"]
+        write_json(model_p, {"tau": ["271/159", "1363/885", "98/109",
+                                     "573/968", "15/14"], "R": refl})
+        assert run(tmp_path, "forward", model_p, "--rational",
+                   "--out", tmp_path / "d.json") == 0
+        assert run(tmp_path, "correct", tmp_path / "d.json", model_p,
+                   "--rational", "--emit-sets", tmp_path / "sets.csv",
+                   "--out", tmp_path / "c.json") == 0
+        rows = list(csv.DictReader((tmp_path / "sets.csv").open()))
+        product = Fraction(301, 851) * Fraction(758 * big + 977, 977 * big)
+        assert rows == [{"n": "1", "ratio": f"{Decimal(product.numerator)}/"
+                                            f"{Decimal(product.denominator)}"}]
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -179,6 +211,27 @@ class TestExitCodes:
         p = tmp_path / "d.json"
         p.write_text('{"sigma": [1.0, 2.0], "alpha": [NaN, 0.3]}')
         assert run(tmp_path, "invert", p, *mode) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "ValidationError"
+
+    @pytest.mark.parametrize("mode", [[], ["--rational"]])
+    def test_model_field_not_array(self, tmp_path, capsys, mode):
+        p = tmp_path / "m.json"
+        write_json(p, {"tau": 5, "R": [0.1]})
+        assert run(tmp_path, "forward", p, *mode) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "ValidationError"
+
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--tol", "abc"], ["invert", "--tol", "-1"],
+        ["invert", "--tol", "nan"], ["distort", "--sine", "0.1:abc:2"],
+        ["distort", "--shift", "1/0"], ["distort", "--decimate", "inf"],
+    ])
+    def test_bad_number_is_validation_error(self, tmp_path, capsys, argv):
+        p = tmp_path / "d.json"
+        write_json(p, {"sigma": [1.0, 1.5], "alpha": [0.5, 0.525]})
+        cmd, *options = argv
+        assert run(tmp_path, cmd, p, *options) == 2
         assert json.loads(capsys.readouterr().err)["error"] == \
             "ValidationError"
 

@@ -1,5 +1,6 @@
 """Domain types, scalar modes, normalization, physical conversion."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from layerwave import (PhysicalProfile, ValidationError, data_from_dict,
                        data_to_dict, from_physical, model_from_dict,
                        model_to_dict, normalize, total_travel_time,
                        validate_data, validate_model)
+from layerwave.core import dot, find_time, left_sum, prefix_sums, scalar_text
 
 R2 = 2 ** 0.5 / 2  # float 1/sqrt(2)
 
@@ -91,6 +93,45 @@ class TestTotalTravelTime:
         assert total_travel_time(m) == Fraction(1, 2)
 
 
+class TestOrderedSums:
+    def test_left_sum_is_not_compensated(self):
+        # builtin sum() gives 1.0 here from Python 3.12 on
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_sum(iter([Fraction(1, 3), Fraction(1, 6)])) == \
+            Fraction(1, 2)
+
+    @pytest.mark.parametrize("values", [
+        [1e16, 1.0, -1e16, 0.1, 0.2, 0.3, 1e-17],
+        [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), Fraction(1, 3)],
+    ])
+    def test_prefix_sums_match_explicit_loop(self, values):
+        want = [values[0]]
+        for v in values[1:]:
+            want.append(want[-1] + v)
+        got = prefix_sums(values)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+    def test_dot_is_left_to_right(self):
+        tau = (0.1, 0.2, 0.3, 1e16, -1e16)
+        k = (1, 2, 3, 1, 1)
+        assert dot(tau, k) == (((0.1 + 2 * 0.2) + 3 * 0.3) + 1e16) - 1e16
+
+
+class TestFindTime:
+    def test_lower_neighbour_wins(self):
+        times = [1.0, 2.0, 2.2, 3.0]
+        assert find_time(times, 2.1, 0.15) == 1
+        assert find_time(times, 2.2, 0.0) == 2
+        assert find_time(times, 0.95, 0.1) == 0
+        assert find_time(times, 3.05, 0.1) == 3
+
+    def test_miss(self):
+        assert find_time([1.0, 2.0], 1.5, 0.1) is None
+        assert find_time([], 1.0, 1.0) is None
+        assert find_time([Fraction(1, 3)], Fraction(1, 3), Fraction(0)) == 0
+
+
 class TestFromPhysical:
     def test_uniform_medium_zero_reflectivity(self):
         p = PhysicalProfile((0.0, 1.0, 2.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
@@ -155,6 +196,11 @@ class TestNormalize:
         with pytest.raises(ValidationError, match="span"):
             normalize(terms, time_tol=1e-9)
 
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
+    def test_bad_time_tol_rejected(self, tol):
+        with pytest.raises(ValidationError, match="time_tol"):
+            normalize([(1.0, 1.0), (2.0, 1.0)], time_tol=tol)
+
     def test_rational_requires_zero_tols(self):
         with pytest.raises(ValidationError):
             normalize([(Fraction(1), Fraction(1))], time_tol=Fraction(1, 10))
@@ -212,6 +258,21 @@ class TestJson:
         for text in ("1.5", "1e5", "1/2.0", "Infinity"):
             with pytest.raises(ValidationError, match="bad rational literal"):
                 model_from_dict({"tau": [text], "R": ["0"]})
+
+    @pytest.mark.parametrize("rational", [None, True])
+    def test_fields_must_be_arrays(self, rational):
+        for obj in ({"tau": 5, "R": [0.1]}, {"tau": [1.0], "R": "0.1"}):
+            with pytest.raises(ValidationError, match="array"):
+                model_from_dict(obj, rational)
+        with pytest.raises(ValidationError, match="array"):
+            data_from_dict({"sigma": {"a": 1}, "alpha": [1.0]}, rational)
+
+    def test_scalar_text(self):
+        for x in (Fraction(3), Fraction(-1, 3), Fraction(0), 0.5, -2.0):
+            assert scalar_text(x) == str(x)
+        big = 3 ** 9500  # past the 4300-digit int -> str limit
+        assert scalar_text(Fraction(-1, big)) == f"-1/{Decimal(big)}"
+        assert scalar_text(Fraction(big)) == str(Decimal(big))
 
     def test_data_round_trip(self):
         d = validate_data((1.0, 2.0), (0.5, -0.25))

@@ -50,6 +50,12 @@ class TestInvertExamples:
         with pytest.raises(ValidationError):
             invert(data, InverseOptions(time_tol=Fraction(1, 100)))
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_time_tol_is_validation_error(self, tol):
+        data = validate_data((1.0, 1.5), (0.5, 0.525))
+        with pytest.raises(ValidationError, match="time_tol"):
+            invert(data, InverseOptions(time_tol=tol))
+
     def test_out_of_range_reflectivity(self):
         with pytest.raises(AlgorithmError):
             invert(validate_data((1.0, 2.0), (1.5, 0.3)))
@@ -235,6 +241,13 @@ class TestCorrection:
         corrected, _ = correct_reflectivity(invert(data), data)
         for got, want in zip(corrected, refl):
             assert abs(got - want) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["cluster_tol", "time_tol"])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_bad_tolerance_rejected(self, name, bad):
+        data, _ = forward(float_twin(rational_model(6, 112)))
+        with pytest.raises(ValidationError, match=name):
+            correct_reflectivity(invert(data), data, **{name: bad})
 
     def test_minority_distortion_outvoted(self):
         m = rational_model(6, 114)
