@@ -40,23 +40,25 @@ EXIT_GUARD = 3
 EXIT_ALGORITHM = 4
 EXIT_IO = 5
 
+GEN_TAU_RANGE = (0.1, 2.0)      # travel times drawn by gen_random_generic
+GEN_MAX_ATTEMPTS = 500          # candidates it draws before giving up
+GEN_DENOMINATOR_LIMIT = 1000    # largest denominator of a rational draw
+
 
 def gen_random_generic(layers: int, seed: int,
                        margin_floor: Scalar | None = None,
                        refl_range: tuple[float, float] = (0.05, 0.8),
-                       rational: bool = False,
-                       tau_range: tuple[float, float] = (0.1, 2.0),
-                       max_attempts: int = 500,
-                       denominator_limit: int = 1000) -> Model:
+                       rational: bool = False) -> Model:
     """Rejection-sample a random generic model.
 
-    Travel times are uniform over ``tau_range``, reflection magnitudes
+    Travel times are uniform over ``GEN_TAU_RANGE``, reflection magnitudes
     uniform over ``refl_range`` with random signs.  Candidates are redrawn
     until the genericity check passes with separation margin at least
     ``margin_floor`` (any positive margin in rational mode when no floor
     is given).  Rational candidates use denominators up to
-    ``denominator_limit``.  Densely layered media may exhaust the attempt
-    budget for tight floors: that is an error, not a retry loop.
+    ``GEN_DENOMINATOR_LIMIT``.  Densely layered media may exhaust the
+    ``GEN_MAX_ATTEMPTS`` draws for tight floors: that is an error, not a
+    retry loop.
     """
     if layers < 1:
         raise ValidationError("need at least one layer")
@@ -64,14 +66,14 @@ def gen_random_generic(layers: int, seed: int,
     lo, hi = refl_range
     if not 0 < lo < hi < 1:
         raise ValidationError("reflection range must satisfy 0 < lo < hi < 1")
-    for _ in range(max_attempts):
-        tau = [rng.uniform(*tau_range) for _ in range(layers + 1)]
+    for _ in range(GEN_MAX_ATTEMPTS):
+        tau = [rng.uniform(*GEN_TAU_RANGE) for _ in range(layers + 1)]
         refl = [rng.uniform(lo, hi) * rng.choice((-1.0, 1.0))
                 for _ in range(layers + 1)]
         if rational:
-            tau = [Fraction(t).limit_denominator(denominator_limit)
+            tau = [Fraction(t).limit_denominator(GEN_DENOMINATOR_LIMIT)
                    for t in tau]
-            refl = [Fraction(r).limit_denominator(denominator_limit)
+            refl = [Fraction(r).limit_denominator(GEN_DENOMINATOR_LIMIT)
                     for r in refl]
         model = Model(tuple(tau), tuple(refl))
         report = is_generic(model)
@@ -82,7 +84,7 @@ def gen_random_generic(layers: int, seed: int,
         return model
     raise AlgorithmError(
         f"no generic model with margin >= {margin_floor} found in "
-        f"{max_attempts} attempts at {layers} layers")
+        f"{GEN_MAX_ATTEMPTS} attempts at {layers} layers")
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +361,7 @@ def main(argv=None) -> int:
     except GuardExceededError as exc:
         _fail(exc)
         return EXIT_GUARD
-    except AlgorithmError as exc:
-        _fail(exc)
-        return EXIT_ALGORITHM
-    except LayerwaveError as exc:
+    except LayerwaveError as exc:  # AlgorithmError and any other failure
         _fail(exc)
         return EXIT_ALGORITHM
     except (OSError, json.JSONDecodeError) as exc:

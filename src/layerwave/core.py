@@ -38,8 +38,10 @@ Scalar = Union[float, Fraction]
 #: possibly with repeated times and zero amplitudes.
 RawTermList = Sequence[tuple[Scalar, Scalar]]
 
-DEFAULT_TIME_TOL_REL = 1e-9       # of the largest time, float mode
-DEFAULT_AMP_ZERO_REL = 1e-12      # of the largest |amplitude|, float mode
+#: Float-mode defaults, shares of the largest |entry| of the scale compared
+#: against (times, amplitudes; Stage III votes are on an absolute scale).
+DEFAULT_TOLERANCES = {"time_tol": 1e-9, "amp_zero_tol": 1e-12,
+                      "cluster_tol": 1e-6}
 CLUSTER_SPAN_FACTOR = 10          # cluster span guard, multiples of time_tol
 
 
@@ -110,11 +112,24 @@ def find_time(sorted_times: Sequence[Scalar], value: Scalar,
     return None
 
 
-def check_tolerance(value: Scalar, name: str) -> None:
-    """Raise :class:`ValidationError` unless ``value`` is finite and >= 0."""
+def tolerance(name: str, value: Scalar | None, rational: bool,
+              scale: Sequence[Scalar] = (1.0,)) -> Scalar:
+    """Resolve the tolerance ``name``: None gives exact zero in rational
+    mode, else ``DEFAULT_TOLERANCES[name]`` times the largest |entry| of
+    ``scale`` (0.0 if empty).  Raises :class:`ValidationError` unless the
+    value is finite, nonnegative and, in rational mode (every comparison
+    exact), zero."""
+    if value is None:
+        if rational:
+            return Fraction(0)
+        value = DEFAULT_TOLERANCES[name] * max(
+            (abs(float(s)) for s in scale), default=0.0)
     if not 0 <= value < math.inf:
         raise ValidationError(
             f"{name} = {scalar_text(value)} must be finite and nonnegative")
+    if rational and value != 0:
+        raise ValidationError(f"{name} must be zero in rational mode")
+    return value
 
 
 # int <-> str refuses more than sys.get_int_max_str_digits() digits (4300 by
@@ -335,22 +350,6 @@ def from_physical(profile: PhysicalProfile) -> Model:
                           allow_zero_layers=(n_ifaces == 1))
 
 
-def default_time_tol(times: Sequence[Scalar], rational: bool) -> Scalar:
-    if rational:
-        return Fraction(0)
-    if not times:
-        return 0.0
-    return DEFAULT_TIME_TOL_REL * max(abs(float(t)) for t in times)
-
-
-def default_amp_zero_tol(amps: Sequence[Scalar], rational: bool) -> Scalar:
-    if rational:
-        return Fraction(0)
-    if not amps:
-        return 0.0
-    return DEFAULT_AMP_ZERO_REL * max(abs(float(a)) for a in amps)
-
-
 def cluster_sorted(times: Sequence[Scalar], time_tol: Scalar,
                    cluster_span: Scalar | None = None) -> list[tuple[int, int]]:
     """Group a time-sorted sequence into runs of mutually close entries.
@@ -395,12 +394,12 @@ def normalize(terms: RawTermList, time_tol: Scalar | None = None,
 
     Times equal within ``time_tol`` are merged (amplitudes summed, the
     smallest member time representing the cluster), clusters summing to
-    zero are dropped, and the result is sorted strictly increasing.  The
-    output is idempotent under re-normalization and independent of the
-    input order.  In rational mode both tolerances must be exact zero.  A
-    cluster spanning more than ``CLUSTER_SPAN_FACTOR`` time tolerances
-    raises :class:`ValidationError`: the tolerance is too coarse for the
-    data.
+    within ``amp_zero_tol`` of zero are dropped, and the result is sorted
+    strictly increasing.  The output is idempotent under re-normalization
+    and independent of the input order.  Both tolerances resolve through
+    :func:`tolerance` (scales: times, amplitudes).  A cluster spanning
+    more than ``CLUSTER_SPAN_FACTOR`` time tolerances raises
+    :class:`ValidationError`: the tolerance is too coarse for the data.
     """
     pairs = list(terms)
     if not pairs:
@@ -410,13 +409,8 @@ def normalize(terms: RawTermList, time_tol: Scalar | None = None,
     if m1 != m2:
         raise ValidationError("times and amplitudes in different scalar modes")
     rational = m1
-    if time_tol is None:
-        time_tol = default_time_tol(times_t, rational)
-    if amp_zero_tol is None:
-        amp_zero_tol = default_amp_zero_tol(amps_t, rational)
-    if rational and (time_tol != 0 or amp_zero_tol != 0):
-        raise ValidationError("tolerances must be zero in rational mode")
-    check_tolerance(time_tol, "time_tol")
+    time_tol = tolerance("time_tol", time_tol, rational, times_t)
+    amp_zero_tol = tolerance("amp_zero_tol", amp_zero_tol, rational, amps_t)
 
     order = sorted(range(len(times_t)), key=lambda i: (times_t[i], amps_t[i]))
     stimes = [times_t[i] for i in order]

@@ -17,9 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .amplitude import amplitude_eval, eval_batch
-from .core import (Data, Model, Scalar, cluster_sorted, cluster_sums,
-                   default_amp_zero_tol, default_time_tol, dot, left_sum,
-                   total_travel_time, validate_model)
+from .core import (Data, Model, Scalar, cluster_sorted, cluster_sums, dot,
+                   left_sum, tolerance, total_travel_time, validate_model)
 from .errors import AlgorithmError, ValidationError
 from .lattice import LatticeSet, TransitCount, enumerate_lattice_set
 
@@ -62,18 +61,18 @@ def forward(model: Model, t_max: Scalar | None = None,
     ``t_max`` defaults to the total travel time; larger values extend the
     response past the deepest primary (the enumeration map is then no
     longer the canonical invariant of the model, but the data is still
-    exact).  Deterministic: ties in arrival time are ordered by vector.
+    exact).  ``time_tol`` and ``amp_zero_tol`` act and resolve as in
+    :func:`normalize`.  Deterministic: ties in arrival time are ordered
+    by vector.
     """
     if t_max is None:
         t_max = total_travel_time(model)
     ls = enumerate_lattice_set(model.tau, t_max, max_terms=max_terms,
                                rational=model.rational)
     amps = eval_batch(model.refl, ls.ks)
-
-    if time_tol is None:
-        time_tol = default_time_tol(ls.times, model.rational)
-    if amp_zero_tol is None:
-        amp_zero_tol = default_amp_zero_tol(amps, model.rational)
+    time_tol = tolerance("time_tol", time_tol, model.rational, ls.times)
+    amp_zero_tol = tolerance("amp_zero_tol", amp_zero_tol, model.rational,
+                             amps)
 
     order = sorted(range(len(ls.ks)), key=lambda i: (ls.times[i], ls.ks[i]))
     stimes = [ls.times[i] for i in order]
@@ -163,15 +162,15 @@ def is_generic(model: Model, t_max: Scalar | None = None,
                max_terms: int | None = None) -> GenericityReport:
     """Check arrival-time injectivity and amplitude non-vanishing.
 
-    In float mode times are considered colliding when they agree within
-    ten default time tolerances; in rational mode the tests are exact.
+    Times collide within ten ``time_tol``; an amplitude, or its merged
+    arrival, vanishes within ``amp_zero_tol``.  Both resolve as in
+    :func:`forward`, so in rational mode the tests are exact.
     """
     if t_max is None:
         t_max = total_travel_time(model)
     ls = enumerate_lattice_set(model.tau, t_max, max_terms=max_terms,
                                rational=model.rational)
-    if time_tol is None:
-        time_tol = default_time_tol(ls.times, model.rational)
+    time_tol = tolerance("time_tol", time_tol, model.rational, ls.times)
     decide_tol = GENERIC_MARGIN_FACTOR * time_tol
 
     order = sorted(range(len(ls.ks)), key=lambda i: (ls.times[i], ls.ks[i]))
@@ -191,8 +190,8 @@ def is_generic(model: Model, t_max: Scalar | None = None,
                 colliding.append((ls.ks[order[i]], ls.ks[order[j]]))
 
     amps = eval_batch(model.refl, ls.ks)
-    if amp_zero_tol is None:
-        amp_zero_tol = default_amp_zero_tol(amps, model.rational)
+    amp_zero_tol = tolerance("amp_zero_tol", amp_zero_tol, model.rational,
+                             amps)
     zero: list[TransitCount] = []
     for (lo, hi), total in zip(groups, cluster_sums(amps, order, groups)):
         cancelled = abs(total) <= amp_zero_tol

@@ -24,11 +24,10 @@ the per-index consensus reconstructs the reflectivities by division.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
-from .core import (Data, Model, Scalar, check_tolerance, default_time_tol,
-                   find_time, left_sum, prefix_sums, validate_model)
+from .core import (Data, Model, Scalar, find_time, left_sum, prefix_sums,
+                   tolerance, validate_model)
 from .errors import AlgorithmError, GuardExceededError, ValidationError
 from .lattice import (LatticeSet, TransitCount, enumerate_lattice_set,
                       enumerate_restricted)
@@ -41,7 +40,7 @@ class InverseOptions:
     """Knobs for :func:`invert`.
 
     ``time_tol`` is the absolute matching tolerance for explaining data
-    times (default 1e-9 of the last arrival; must be 0 in rational mode).
+    times, resolved by :func:`layerwave.core.tolerance` (scale: sigma).
     ``robust`` enables spurious-arrival rejection; it rejects at most
     d - 2 arrivals, since the first two are trusted, so the rejections need
     no guard of their own.  ``max_layers`` bounds the recovered layer count
@@ -84,13 +83,7 @@ def invert(data: Data, opts: InverseOptions | None = None) -> InverseReport:
         raise ValidationError("inversion needs at least two arrivals")
     sigma = list(data.sigma)
     alpha = list(data.alpha)
-    rational = data.rational
-    tol = opts.time_tol
-    if tol is None:
-        tol = default_time_tol(sigma, rational)
-    check_tolerance(tol, "time_tol")
-    if rational and tol != 0:
-        raise ValidationError("time_tol must be zero in rational mode")
+    tol = tolerance("time_tol", opts.time_tol, data.rational, sigma)
 
     # Stage I: arrival time inversion
     tau: list[Scalar] = [sigma[0], sigma[1] - sigma[0]]
@@ -263,17 +256,15 @@ def correct_reflectivity(report: InverseReport, data: Data,
     amplitudes of the last four primaries; everything in between is
     re-derived from consensus products R_{n-1} * R_n and division.  With
     fewer than four layers there is no redundancy window and the Stage II
-    reflectivities are returned unchanged.
+    reflectivities are returned unchanged.  ``cluster_tol`` (vote
+    clustering) and ``time_tol`` (scale: sigma) resolve through
+    :func:`layerwave.core.tolerance`.
     """
     model = report.model
     layers = model.layers
     rational = model.rational
-    if cluster_tol is None:
-        cluster_tol = Fraction(0) if rational else 1e-6
-    if time_tol is None:
-        time_tol = default_time_tol(data.sigma, rational)
-    check_tolerance(cluster_tol, "cluster_tol")
-    check_tolerance(time_tol, "time_tol")
+    cluster_tol = tolerance("cluster_tol", cluster_tol, rational)
+    time_tol = tolerance("time_tol", time_tol, rational, data.sigma)
     if layers < 4:
         return model.refl, CorrectionSets()
 

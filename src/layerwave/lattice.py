@@ -30,12 +30,20 @@ DEFAULT_MAX_TERMS = 10_000_000
 ENV_MAX_TERMS = "LAYERWAVE_MAX_TERMS"
 
 
-def max_terms_guard(override: int | None = None) -> int:
-    """Resolve the enumeration guard: explicit value, else env, else 1e7."""
-    if override is not None:
-        return override
-    env = os.environ.get(ENV_MAX_TERMS)
-    return int(env) if env else DEFAULT_MAX_TERMS
+def max_terms_guard(override: int | None = None,
+                    name: str = "max_terms") -> int:
+    """Resolve the enumeration guard: explicit value, else env, else 1e7;
+    :class:`ValidationError` naming the source unless a positive int."""
+    source, value = name, override
+    if value is None:
+        source, value = ENV_MAX_TERMS, os.environ.get(ENV_MAX_TERMS)
+        if not value:
+            return DEFAULT_MAX_TERMS
+        value = int(value) if value.strip().isdecimal() else value
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(
+            f"{source} = {value!r} must be a positive integer")
+    return value
 
 
 def is_transit_count(k: Sequence[int]) -> bool:
@@ -97,6 +105,15 @@ class LatticeSet:
         return iter(self.ks)
 
 
+def _time_bound(bound: Scalar, rational: bool) -> Scalar:
+    """An enumeration's time bound: finite, in the scalar mode of its tau."""
+    if rational and not isinstance(bound, (Fraction, int)):
+        raise ValidationError("bound must be rational in rational mode")
+    if not abs(bound) < math.inf:
+        raise ValidationError(f"time bound {bound} is not finite")
+    return bound if rational else float(bound)
+
+
 def _enumerate(tau: tuple[Scalar, ...], bound: Scalar, min_count: int,
                max_terms: int) -> LatticeSet:
     """Depth-first search from k_0 = 1, entries past it from ``min_count``."""
@@ -149,12 +166,7 @@ def enumerate_lattice_set(tau: Iterable, bound: Scalar | None = None,
     LAYERWAVE_MAX_TERMS environment variable).
     """
     tau_t, rat = coerce_vector(tau, rational, "tau")
-    if bound is None:
-        bound = left_sum(tau_t)
-    elif rat and not isinstance(bound, (Fraction, int)):
-        raise ValidationError("bound must be rational in rational mode")
-    elif not rat:
-        bound = float(bound)
+    bound = left_sum(tau_t) if bound is None else _time_bound(bound, rat)
     return _enumerate(tau_t, bound, 0, max_terms_guard(max_terms))
 
 
@@ -171,11 +183,8 @@ def enumerate_restricted(tau_prefix: Iterable, n: int, s: Scalar,
     if len(tau_t) != n + 1:
         raise ValidationError(
             f"prefix has {len(tau_t)} entries, expected n+1 = {n + 1}")
-    if rat and not isinstance(s, (Fraction, int)):
-        raise ValidationError("bound must be rational in rational mode")
-    if not rat:
-        s = float(s)
-    return _enumerate(tau_t, s, 1, max_terms_guard(max_terms))
+    return _enumerate(tau_t, _time_bound(s, rat), 1,
+                      max_terms_guard(max_terms))
 
 
 def project_onto_tau(ls: LatticeSet, tau: Iterable | None = None

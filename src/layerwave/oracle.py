@@ -22,6 +22,7 @@ production path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +47,9 @@ def enumerate_sequences(layers: int, tau: Sequence[Scalar], t_max: Scalar,
         raise ValidationError(f"tau needs {layers + 1} entries")
     if any(not t > 0 for t in tau):
         raise ValidationError("travel times must be positive")
-    guard = max_terms_guard(max_sequences)
+    if not abs(t_max) < math.inf:
+        raise ValidationError(f"t_max = {t_max} is not finite")
+    guard = max_terms_guard(max_sequences, "max_sequences")
     out: list[Path] = []
     prefix = [-1]
 
@@ -209,7 +212,7 @@ def count_sequences_by(k: Sequence[int], b: Sequence[int],
     k = tuple(k)
     b = tuple(b)
     layers = len(k) - 1
-    guard = max_terms_guard(max_sequences)
+    guard = max_terms_guard(max_sequences, "max_sequences")
     budget = list(k)
     count = 0
     seen = 0

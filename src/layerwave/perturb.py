@@ -13,8 +13,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .core import Data, Scalar, default_time_tol, normalize, validate_data
+from .core import Data, Scalar, normalize, tolerance, validate_data
 from .errors import AlgorithmError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -24,28 +25,23 @@ TWO_PI = 2.0 * math.pi
 class PerturbSpec:
     """A bundle of perturbations, applied in a fixed order.
 
-    ``decimate_threshold`` drops small amplitudes first; ``spurious`` is
-    either an explicit list of (time, amplitude) points or a (count, seed)
-    pair for random generation; ``sine`` is (amplitude, (t_lo, t_hi)) plus
-    optional angular frequency and phase; ``shift`` translates all times
-    last.  Unset fields are skipped.
+    ``decimate_threshold`` drops small amplitudes first; ``spurious`` is a
+    sequence of (time, amplitude) points merged in by :func:`add_spurious`
+    (draw seeded ones with :func:`random_spurious`); ``sine`` is
+    (amplitude, (t_lo, t_hi)) plus optional angular frequency and phase;
+    ``shift`` translates all times last.  Unset fields are skipped.
     """
 
     decimate_threshold: Scalar | None = None
-    spurious: list[tuple[Scalar, Scalar]] | tuple[int, int] | None = None
+    spurious: Sequence[tuple[Scalar, Scalar]] | None = None
     sine: tuple | None = None
     shift: Scalar | None = None
 
-    def apply(self, data: Data, guard_tol: Scalar | None = None) -> Data:
+    def apply(self, data: Data) -> Data:
         if self.decimate_threshold is not None:
             data = decimate(data, self.decimate_threshold)
         if self.spurious is not None:
-            points = self.spurious
-            if isinstance(points, tuple):
-                count, seed = points
-                points = random_spurious(data, count, seed,
-                                         guard_tol=guard_tol)
-            data = add_spurious(data, points, guard_tol=guard_tol)
+            data = add_spurious(data, self.spurious)
         if self.sine is not None:
             amp, window, *rest = self.sine
             data = sine_distort(data, amp, window, *rest)
@@ -66,19 +62,23 @@ def decimate(data: Data, threshold: Scalar) -> Data:
                          rational=data.rational)
 
 
-def add_spurious(data: Data, points: list[tuple[Scalar, Scalar]],
+def add_spurious(data: Data, points: Sequence[tuple[Scalar, Scalar]],
                  guard_tol: Scalar | None = None) -> Data:
     """Merge extra (time, amplitude) arrivals into the data.
 
     Each spurious time must stay clear of every existing arrival and of
     the other spurious times by more than ``guard_tol``, so the merged
-    response has one term per arrival.
+    response has one term per arrival.  ``guard_tol`` defaults to the
+    data's ``time_tol``; an explicit one is a placement margin, which may
+    be a nonzero Fraction on rational data.
     """
-    if not points:
-        return data
     rational = data.rational
     if guard_tol is None:
-        guard_tol = default_time_tol(data.sigma, rational)
+        guard_tol = tolerance("time_tol", None, rational, data.sigma)
+    else:
+        guard_tol = tolerance("guard_tol", guard_tol, False)  # no exact rule
+    if not points:
+        return data
     existing = list(data.sigma)
     for t, a in points:
         if a == 0:

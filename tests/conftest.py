@@ -4,7 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from layerwave import Model
+from layerwave import Model, forward, invert, validate_data
 
 
 def brute_lattice(tau, bound):
@@ -34,6 +34,24 @@ def rational_model(layers, seed, tau_range=(0.1, 2.0), refl_range=(0.05, 0.8),
     refl = [Fraction(rng.uniform(*refl_range) * rng.choice((-1, 1)))
             .limit_denominator(denom) for _ in range(layers + 1)]
     return Model(tuple(tau), tuple(refl))
+
+
+def stage_two_failure_data():
+    """Rational data whose third primary amplitude is tripled: Stage II
+    computes R[2] outside (-1, 1)."""
+    data, _ = forward(rational_model(6, 1, tau_range=(0.3, 2.0)))
+    alpha = list(data.alpha)
+    alpha[invert(data).primary_indices[2]] *= 3
+    return validate_data(data.sigma, alpha)
+
+
+def stage_three_failure_data():
+    """Rational data missing arrival 10, which leaves no redundancy pair
+    for index 2 observable; inversion still succeeds."""
+    data, _ = forward(rational_model(6, 3, tau_range=(0.3, 2.0)))
+    keep = [j for j in range(len(data)) if j != 10]
+    return validate_data([data.sigma[j] for j in keep],
+                         [data.alpha[j] for j in keep])
 
 
 def float_twin(model):

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from layerwave import model_from_dict
+from layerwave import data_to_dict, invert, model_from_dict, model_to_dict
 from layerwave.cli import gen_random_generic, main
+
+from conftest import stage_three_failure_data, stage_two_failure_data
 
 
 def run(tmp_path, *argv):
@@ -200,6 +202,42 @@ class TestExitCodes:
         write_json(p, {"tau": [1.0, 0.01], "R": [0.5, 0.5]})
         assert run(tmp_path, "forward", p, "--t-max", "3.0",
                    "--max-terms", "5") == 3
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_max_terms_is_validation_error(self, tmp_path, capsys,
+                                                       value):
+        p = tmp_path / "m.json"
+        write_json(p, {"tau": [1.0, 0.5], "R": [0.5, 0.5]})
+        assert run(tmp_path, "forward", p, "--max-terms", value) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "max_terms" in err["message"]
+
+    def test_bad_env_max_terms_is_validation_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        p = tmp_path / "m.json"
+        write_json(p, {"tau": [1.0, 0.5], "R": [0.5, 0.5]})
+        monkeypatch.setenv("LAYERWAVE_MAX_TERMS", "abc")
+        assert run(tmp_path, "forward", p) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "LAYERWAVE_MAX_TERMS" in err["message"]
+
+    def test_stage_two_failure_exit(self, tmp_path, capsys):
+        p = tmp_path / "d.json"
+        write_json(p, data_to_dict(stage_two_failure_data()))
+        assert run(tmp_path, "invert", p, "--rational") == 4
+        assert "R[2]" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_stage_three_failure_exit(self, tmp_path, capsys):
+        data = stage_three_failure_data()
+        data_p = tmp_path / "d.json"
+        model_p = tmp_path / "m.json"
+        write_json(data_p, data_to_dict(data))
+        write_json(model_p, model_to_dict(invert(data).model))
+        assert run(tmp_path, "correct", data_p, model_p, "--rational") == 4
+        assert "no redundancy pairs observable for index 2" in \
+            json.loads(capsys.readouterr().err)["message"]
 
     def test_algorithm_exit(self, tmp_path, capsys):
         p = tmp_path / "d.json"

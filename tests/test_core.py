@@ -11,7 +11,8 @@ from layerwave import (PhysicalProfile, ValidationError, data_from_dict,
                        data_to_dict, from_physical, model_from_dict,
                        model_to_dict, normalize, total_travel_time,
                        validate_data, validate_model)
-from layerwave.core import dot, find_time, left_sum, prefix_sums, scalar_text
+from layerwave.core import (DEFAULT_TOLERANCES, dot, find_time, left_sum,
+                            prefix_sums, scalar_text, tolerance)
 
 R2 = 2 ** 0.5 / 2  # float 1/sqrt(2)
 
@@ -132,6 +133,33 @@ class TestFindTime:
         assert find_time([Fraction(1, 3)], Fraction(1, 3), Fraction(0)) == 0
 
 
+class TestTolerance:
+    def test_float_default_is_share_of_largest_magnitude(self):
+        assert tolerance("time_tol", None, False, (1.0, -3.0, 2.0)) == \
+            DEFAULT_TOLERANCES["time_tol"] * 3.0
+        assert tolerance("amp_zero_tol", None, False, (0.5, -0.25)) == \
+            DEFAULT_TOLERANCES["amp_zero_tol"] * 0.5
+        assert tolerance("cluster_tol", None, False) == 1e-6
+        assert tolerance("time_tol", None, False, ()) == 0.0
+
+    def test_rational_default_is_exact_zero(self):
+        tol = tolerance("time_tol", None, True, (Fraction(3),))
+        assert tol == 0 and isinstance(tol, Fraction)
+
+    def test_explicit_value_passes_through(self):
+        assert tolerance("time_tol", 1e-3, False, (1.0,)) == 1e-3
+        assert tolerance("time_tol", Fraction(0), True) == 0
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_value_rejected(self, bad):
+        with pytest.raises(ValidationError, match="amp_zero_tol"):
+            tolerance("amp_zero_tol", bad, False, (1.0,))
+
+    def test_rational_nonzero_rejected(self):
+        with pytest.raises(ValidationError, match="cluster_tol.*rational"):
+            tolerance("cluster_tol", Fraction(1, 10), True)
+
+
 class TestFromPhysical:
     def test_uniform_medium_zero_reflectivity(self):
         p = PhysicalProfile((0.0, 1.0, 2.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
@@ -200,6 +228,11 @@ class TestNormalize:
     def test_bad_time_tol_rejected(self, tol):
         with pytest.raises(ValidationError, match="time_tol"):
             normalize([(1.0, 1.0), (2.0, 1.0)], time_tol=tol)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_amp_zero_tol_rejected(self, tol):
+        with pytest.raises(ValidationError, match="amp_zero_tol"):
+            normalize([(1.0, 1.0), (2.0, 1e-30)], amp_zero_tol=tol)
 
     def test_rational_requires_zero_tols(self):
         with pytest.raises(ValidationError):

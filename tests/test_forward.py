@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from layerwave import (AlgorithmError, amplitude_eval, enumeration_matrix,
-                       forward, ill_posed_pair, is_generic, j_matrix,
-                       k_matrix, validate_model)
+from layerwave import (AlgorithmError, ValidationError, amplitude_eval,
+                       enumeration_matrix, forward, ill_posed_pair,
+                       is_generic, j_matrix, k_matrix, validate_model)
 from layerwave.forward import dot
 
 from conftest import float_twin, rational_model
@@ -56,6 +56,29 @@ class TestForwardExamples:
         # a coarse zero threshold swallows the whole response
         with pytest.raises(AlgorithmError):
             forward(validate_model((1.0, 1.0), (0.1, 0.1)), amp_zero_tol=1.0)
+
+
+class TestForwardArguments:
+    @pytest.mark.parametrize("fn", [forward, is_generic])
+    @pytest.mark.parametrize("name", ["time_tol", "amp_zero_tol"])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_bad_tolerance_rejected(self, fn, name, bad):
+        m = float_twin(rational_model(3, 31))
+        with pytest.raises(ValidationError, match=name):
+            fn(m, **{name: bad})
+
+    @pytest.mark.parametrize("fn, name", [(forward, "time_tol"),
+                                          (is_generic, "time_tol"),
+                                          (is_generic, "amp_zero_tol")])
+    def test_rational_nonzero_tolerance_rejected(self, fn, name):
+        with pytest.raises(ValidationError, match=f"{name}.*rational"):
+            fn(rational_model(3, 31), **{name: Fraction(1, 1000)})
+
+    @pytest.mark.parametrize("fn", [forward, is_generic])
+    @pytest.mark.parametrize("t_max", [float("nan"), float("inf")])
+    def test_nonfinite_t_max_rejected(self, fn, t_max):
+        with pytest.raises(ValidationError, match="not finite"):
+            fn(float_twin(rational_model(3, 31)), t_max=t_max)
 
 
 class TestEnumerationInvariants:

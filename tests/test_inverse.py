@@ -12,7 +12,8 @@ from layerwave import (AlgorithmError, GuardExceededError, InverseOptions,
                        invert, redundancy_pairs, sine_distort, validate_data,
                        validate_model)
 
-from conftest import float_twin, rational_model
+from conftest import (float_twin, rational_model, stage_three_failure_data,
+                      stage_two_failure_data)
 
 
 class TestInvertExamples:
@@ -59,6 +60,10 @@ class TestInvertExamples:
     def test_out_of_range_reflectivity(self):
         with pytest.raises(AlgorithmError):
             invert(validate_data((1.0, 2.0), (1.5, 0.3)))
+
+    def test_stage_two_reflectivity_out_of_range(self):
+        with pytest.raises(AlgorithmError, match=r"R\[2\].*outside \(-1, 1\)"):
+            invert(stage_two_failure_data())
 
     def test_layer_guard(self):
         # arrival times with no multiple structure spawn layer after layer
@@ -248,6 +253,19 @@ class TestCorrection:
         data, _ = forward(float_twin(rational_model(6, 112)))
         with pytest.raises(ValidationError, match=name):
             correct_reflectivity(invert(data), data, **{name: bad})
+
+    @pytest.mark.parametrize("name", ["cluster_tol", "time_tol"])
+    def test_rational_nonzero_tolerance_rejected(self, name):
+        data, _ = forward(rational_model(6, 112))
+        with pytest.raises(ValidationError, match=f"{name}.*rational"):
+            correct_reflectivity(invert(data), data,
+                                 **{name: Fraction(1, 10 ** 6)})
+
+    def test_unobservable_redundancy_pair(self):
+        data = stage_three_failure_data()
+        with pytest.raises(AlgorithmError,
+                           match="no redundancy pairs observable for index 2"):
+            correct_reflectivity(invert(data), data)
 
     def test_minority_distortion_outvoted(self):
         m = rational_model(6, 114)

@@ -12,7 +12,8 @@ from layerwave import (GuardExceededError, ValidationError, branch_box,
                        enumerate_lattice_set, enumerate_restricted,
                        is_transit_count, left_shift, primary_vector,
                        project_onto_tau)
-from layerwave.lattice import write_lattice_csv
+from layerwave.lattice import (ENV_MAX_TERMS, max_terms_guard,
+                               write_lattice_csv)
 
 from conftest import brute_lattice
 
@@ -100,6 +101,33 @@ class TestEnumerateLatticeSet:
         base = enumerate_lattice_set(tau, Fraction(3))
         scaled = enumerate_lattice_set(tuple(c * t for t in tau), 3 * c)
         assert base.ks == scaled.ks
+
+
+class TestArguments:
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+    def test_nonfinite_bound_rejected(self, bound):
+        with pytest.raises(ValidationError, match="not finite"):
+            enumerate_lattice_set((1.0, 0.5), bound)
+        with pytest.raises(ValidationError, match="not finite"):
+            enumerate_restricted((1.0, 0.5), 1, bound)
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "5"])
+    def test_bad_max_terms_rejected(self, bad):
+        with pytest.raises(ValidationError, match="max_terms"):
+            enumerate_lattice_set((1.0, 0.5), max_terms=bad)
+
+    @pytest.mark.parametrize("text", ["abc", "0", "-3", "2.5"])
+    def test_bad_env_guard_rejected(self, monkeypatch, text):
+        monkeypatch.setenv(ENV_MAX_TERMS, text)
+        with pytest.raises(ValidationError, match=ENV_MAX_TERMS):
+            max_terms_guard()
+
+    def test_env_guard(self, monkeypatch):
+        monkeypatch.setenv(ENV_MAX_TERMS, "2")
+        assert max_terms_guard() == 2
+        assert max_terms_guard(7) == 7
+        with pytest.raises(GuardExceededError, match="exceeded 2 terms"):
+            enumerate_lattice_set((1.0, 0.5), 3.0)
 
 
 class TestEnumerateRestricted:

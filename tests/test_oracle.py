@@ -30,6 +30,17 @@ class TestEnumerateSequences:
         with pytest.raises(ValidationError):
             enumerate_sequences(1, (1.0, 0.0), 2.0)
 
+    @pytest.mark.parametrize("t_max", [float("nan"), float("inf")])
+    def test_nonfinite_t_max_rejected(self, t_max):
+        with pytest.raises(ValidationError, match="not finite"):
+            enumerate_sequences(1, (1.0, 1.0), t_max)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_bad_max_sequences_rejected(self, bad):
+        with pytest.raises(ValidationError, match="max_sequences"):
+            oracle_response(validate_model((1.0, 0.5), (0.5, 0.7)),
+                            max_sequences=bad)
+
 
 class TestStats:
     def test_shallow_bounce(self):

@@ -48,6 +48,19 @@ class TestAddSpurious:
         with pytest.raises(ValidationError):
             add_spurious(d, [(1.0 + 1e-12, 0.1)], guard_tol=1e-9)
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_bad_guard_tol_rejected(self, bad):
+        d = validate_data((1.0, 2.0), (0.5, 0.25))
+        with pytest.raises(ValidationError, match="guard_tol"):
+            add_spurious(d, [(1.5, 0.1)], guard_tol=bad)
+
+    def test_rational_guard_tol_may_be_nonzero(self):
+        d = validate_data((Fraction(1), Fraction(2)),
+                          (Fraction(1, 2), Fraction(1, 4)))
+        with pytest.raises(ValidationError, match="collides"):
+            add_spurious(d, [(Fraction(21, 20), Fraction(1, 10))],
+                         guard_tol=Fraction(1, 10))
+
     def test_random_spurious_deterministic_and_separated(self):
         m = float_twin(rational_model(3, 777))
         data, _ = forward(m)
@@ -129,5 +142,13 @@ class TestPerturbSpec:
         from layerwave import PerturbSpec
         m = float_twin(rational_model(3, 778))
         data, _ = forward(m)
-        out = PerturbSpec(spurious=(4, 9)).apply(data, guard_tol=1e-4)
+        points = random_spurious(data, 4, 9, guard_tol=1e-4)
+        out = PerturbSpec(spurious=points).apply(data)
         assert len(out) == len(data) + 4
+
+    def test_tuple_of_points(self):
+        from layerwave import PerturbSpec
+        d = validate_data((1.0, 2.0), (0.5, 0.25))
+        points = ((1.25, 0.1), (1.5, -0.1))
+        assert PerturbSpec(spurious=points).apply(d) == \
+            add_spurious(d, list(points))
